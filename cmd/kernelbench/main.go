@@ -1,14 +1,16 @@
 // Command kernelbench measures the sort and merge kernel pairs — the
 // previous implementation against its replacement — and writes the
 // results as a JSON benchmark record. It is the programmatic twin of the
-// benchmarks in internal/psort and produced the committed BENCH_PR3.json
-// and BENCH_PR10.json.
+// benchmarks in internal/psort and produced the committed BENCH_PR3.json,
+// BENCH_PR10.json and BENCH_KERNELS.json.
 //
 // Pairs:
 //
 //   - serial introsort vs LSD radix sort (1e5 and 1e6 elements)
-//   - per-element loser-tree drain vs adaptive gallop-batched drain
-//     (k=8 and k=16 random runs, plus k=8 blocky runs)
+//   - a reference per-element loser-tree merge vs psort.MergeK, the
+//     kernel the services call (k=8 and k=16 random runs, k=8 blocky
+//     runs, and bulk-i64's two merge shapes: the final merge of 8
+//     megachunks of 512Ki keys and a 3-thread merge of 170Ki-key runs)
 //   - linear two-way merge vs galloping Merge2 (random and disjoint)
 //   - untiled vs software-write-buffered radix scatter (1<<23 int64
 //     keys, above the tiling threshold where TLB/associativity misses
@@ -18,7 +20,7 @@
 //
 // Usage:
 //
-//	kernelbench                    # print the table, write BENCH_PR10.json
+//	kernelbench                    # print the table, write BENCH_KERNELS.json
 //	kernelbench -out bench.json    # write elsewhere
 //	kernelbench -skip-tiled        # skip the 1<<23 tiling pair (CI)
 package main
@@ -126,26 +128,68 @@ func blockyRuns(k, runLen, blockLen int) [][]int64 {
 	return runs
 }
 
-func benchMergeK(src [][]int64, batched bool) func(b *testing.B) {
+func benchMergeK(src [][]int64, merge func(dst []int64, runs [][]int64)) func(b *testing.B) {
 	return func(b *testing.B) {
-		k := len(src)
 		total := 0
 		for _, r := range src {
 			total += len(r)
 		}
-		work := make([][]int64, k)
 		dst := make([]int64, total)
 		b.SetBytes(int64(total * 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(work, src) // headers only; the tree consumes headers, not data
-			lt := psort.NewLoserTree(work)
-			b.StartTimer()
-			if batched {
-				lt.MergeIntoBatched(dst)
-			} else {
-				lt.MergeInto(dst)
+			merge(dst, src)
+		}
+	}
+}
+
+func mergeK(dst []int64, runs [][]int64) { psort.MergeK(dst, runs...) }
+
+// refMergeK is the baseline side of the MergeK pairs: the textbook
+// per-element loser tree, as psort shipped it before the keys moved into
+// the tree's nodes. Internal nodes hold run indices, so every match
+// reads both runs' heads through their slice headers; ties go to the
+// lower run index; each emitted element advances its run's header.
+func refMergeK(dst []int64, runs [][]int64) {
+	k := 1
+	for k < len(runs) {
+		k <<= 1
+	}
+	rs := make([][]int64, k)
+	copy(rs, runs)
+	less := func(a, b int) bool {
+		ra, rb := rs[a], rs[b]
+		switch {
+		case len(ra) == 0:
+			return false
+		case len(rb) == 0:
+			return true
+		case ra[0] != rb[0]:
+			return ra[0] < rb[0]
+		}
+		return a < b
+	}
+	tree := make([]int, k)
+	winners := make([]int, 2*k)
+	for i := 0; i < k; i++ {
+		winners[k+i] = i
+	}
+	for j := k - 1; j >= 1; j-- {
+		a, b := winners[2*j], winners[2*j+1]
+		if less(a, b) {
+			winners[j], tree[j] = a, b
+		} else {
+			winners[j], tree[j] = b, a
+		}
+	}
+	w := winners[1]
+	for n := range dst {
+		r := rs[w]
+		dst[n] = r[0]
+		rs[w] = r[1:]
+		for j := (k + w) / 2; j >= 1; j /= 2 {
+			if less(tree[j], w) {
+				w, tree[j] = tree[j], w
 			}
 		}
 	}
@@ -253,7 +297,7 @@ func benchStringSort(n int, sortFn func([][]byte)) func(b *testing.B) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
+	out := flag.String("out", "BENCH_KERNELS.json", "output JSON path")
 	skipTiled := flag.Bool("skip-tiled", false, "skip the 1<<23 write-buffer tiling pair (128 MiB of buffers; slow on small CI runners)")
 	flag.Parse()
 
@@ -281,7 +325,7 @@ func main() {
 	}
 
 	rec := record{
-		Suite:     "kernelbench-pr10",
+		Suite:     "kernelbench",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -298,15 +342,25 @@ func main() {
 	add(compare("sort-1e6", "serial", benchSort(1_000_000, psort.Serial),
 		"radix", benchSort(1_000_000, radix(1_000_000))))
 
-	k8 := randomRuns(8, 100_000)
-	add(compare("mergek-8-random", "per-element", benchMergeK(k8, false),
-		"batched", benchMergeK(k8, true)))
-	k16 := randomRuns(16, 50_000)
-	add(compare("mergek-16-random", "per-element", benchMergeK(k16, false),
-		"batched", benchMergeK(k16, true)))
-	k8b := blockyRuns(8, 100_000, 512)
-	add(compare("mergek-8-blocky", "per-element", benchMergeK(k8b, false),
-		"batched", benchMergeK(k8b, true)))
+	mergePair := func(name string, runs [][]int64) {
+		total := 0
+		for _, r := range runs {
+			total += len(r)
+		}
+		want, got := make([]int64, total), make([]int64, total)
+		refMergeK(want, runs)
+		mergeK(got, runs)
+		if !slices.Equal(want, got) {
+			fail(fmt.Errorf("%s: MergeK disagrees with the reference merge", name))
+		}
+		add(compare(name, "reference", benchMergeK(runs, refMergeK),
+			"MergeK", benchMergeK(runs, mergeK)))
+	}
+	mergePair("mergek-8-random", randomRuns(8, 100_000))
+	mergePair("mergek-16-random", randomRuns(16, 50_000))
+	mergePair("mergek-8-blocky", blockyRuns(8, 100_000, 512))
+	mergePair("mergek-8-512Ki", randomRuns(8, 512<<10))
+	mergePair("mergek-3-170Ki", randomRuns(3, 170<<10))
 
 	a, b := sortedRandom(500_000, 7), sortedRandom(500_000, 8)
 	add(compare("merge2-random", "linear", benchMerge2(a, b, merge2Linear),
@@ -329,7 +383,8 @@ func main() {
 	}
 
 	// Generic key kernels vs the stdlib comparison sorts, 1e6 keys each.
-	// These are the pairs the CI bench-smoke floor watches.
+	// CI's bench-smoke step floors these three, with sort-1e6 and
+	// mergek-8-random.
 	f64Scratch := make([]float64, 1_000_000)
 	add(compare("f64-sort-1e6",
 		"slices.SortFunc", benchFloat64Sort(1_000_000, func(xs []float64) {

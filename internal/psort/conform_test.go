@@ -370,7 +370,7 @@ func int64SortKernels() []sortKernel[int64] {
 		{name: "SortAdaptive-nil-scratch", run: func(xs []int64) { SortAdaptive(xs, nil) }},
 		// Forced tiled scatter at small sizes: the production dispatch only
 		// tiles above radixTileMinLen, far too big for a test matrix.
-		{name: "radix-forced-tiled", run: func(xs []int64) { radixSortScratch(xs, make([]int64, len(xs)), true, true) }},
+		{name: "radix-forced-tiled", run: func(xs []int64) { radixSortScratch(xs, make([]int64, len(xs)), true) }},
 	}
 }
 
@@ -447,6 +447,99 @@ func TestConformInt64Sorts(t *testing.T) {
 
 func TestConformInt64Merges(t *testing.T) {
 	runMergeConformance(t, int64MergeKernels(), int64Cases(), cmpInt64, eqInt64)
+}
+
+// int64MergeShapes builds k sorted runs of one named shape. The shapes
+// target the int64 loser tree's sentinel design: exhausted runs read as
+// math.MaxInt64, so live MaxInt64 keys must tie them without losing or
+// duplicating an element, and the drain must stop at the exact count.
+func int64MergeShapes(rng *rand.Rand, shape string, k int) [][]int64 {
+	runs := make([][]int64, k)
+	sortedRandom := func(n int) []int64 {
+		r := make([]int64, n)
+		for i := range r {
+			r[i] = int64(rng.Uint64())
+		}
+		slices.Sort(r)
+		return r
+	}
+	for i := range runs {
+		switch shape {
+		case "extremes-beside-exhausted":
+			// Short runs exhaust first; long ones end in a MaxInt64 tail
+			// that has to merge against the sentinels.
+			switch i % 4 {
+			case 0:
+				runs[i] = []int64{math.MinInt64, math.MinInt64, -1, 0, math.MaxInt64, math.MaxInt64}
+			case 1:
+				runs[i] = nil
+			case 2:
+				runs[i] = []int64{math.MinInt64}
+			case 3:
+				runs[i] = append(sortedRandom(30+i), math.MaxInt64, math.MaxInt64, math.MaxInt64)
+			}
+		case "maxint-only":
+			runs[i] = repeatInt64(math.MaxInt64, i%3*20)
+		case "empty":
+			runs[i] = nil
+		case "some-empty":
+			if i%2 == 0 {
+				runs[i] = sortedRandom(1 + rng.Intn(40))
+			}
+		case "random":
+			runs[i] = sortedRandom(rng.Intn(200))
+		case "one-long":
+			n := 50
+			if i == k/2 {
+				n *= 100
+			}
+			runs[i] = sortedRandom(n)
+		case "all-equal":
+			runs[i] = repeatInt64(-5, 64)
+		case "blocky":
+			// Contiguous blocks dealt round-robin: the galloping path.
+			for b := 0; b < 6; b++ {
+				base := int64((b*k + i) * 100)
+				for j := int64(0); j < 100; j++ {
+					runs[i] = append(runs[i], base+j)
+				}
+			}
+		default:
+			panic("unknown merge shape " + shape)
+		}
+	}
+	return runs
+}
+
+// TestConformInt64MergeShapes runs every int64 merge kernel over the
+// sentinel-targeted shapes at every fan-in from 1 to 17 (so each
+// power-of-two padding of the tree is exercised) and at the edges of
+// MergeK's stack-resident tree (64 and 65 runs), against slices.Sort of
+// the concatenated runs.
+func TestConformInt64MergeShapes(t *testing.T) {
+	shapes := []string{"extremes-beside-exhausted", "maxint-only", "empty", "some-empty", "random", "one-long", "all-equal", "blocky"}
+	fanIns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 65}
+	for _, kern := range int64MergeKernels() {
+		for _, shape := range shapes {
+			for _, k := range fanIns {
+				if kern.arity != 0 && kern.arity != k {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s/k=%d", kern.name, shape, k), func(t *testing.T) {
+					runs := int64MergeShapes(rand.New(rand.NewSource(int64(k))), shape, k)
+					want := slices.Concat(runs...)
+					slices.Sort(want)
+					dst := make([]int64, len(want))
+					kern.run(dst, runs)
+					for i := range dst {
+						if dst[i] != want[i] {
+							t.Fatalf("index %d of %d: got %d want %d", i, len(want), dst[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestConformFloat64Sorts(t *testing.T) {

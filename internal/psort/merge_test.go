@@ -3,40 +3,40 @@ package psort
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"knlmlm/internal/race"
 )
 
-// drainBoth runs both loser-tree drains over identical runs and fails on
-// any output divergence.
-func drainBoth(t *testing.T, label string, runs [][]int64) {
+// checkMerges runs both loser-tree drains and MergeK over the same runs
+// and fails unless each matches slices.Sort of the concatenated runs.
+// The sort is the oracle: the two drains share the tree's replay, so
+// agreeing with each other alone would not catch a replay bug.
+func checkMerges(t *testing.T, label string, runs [][]int64) {
 	t.Helper()
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	cloneRuns := func() [][]int64 {
-		out := make([][]int64, len(runs))
-		for i, r := range runs {
-			out[i] = append([]int64(nil), r...)
+	want := slices.Concat(runs...)
+	slices.Sort(want)
+	total := len(want)
+	check := func(drain string, got []int64, n int) {
+		t.Helper()
+		if n != total {
+			t.Fatalf("%s: %s wrote %d of %d", label, drain, n, total)
 		}
-		return out
-	}
-	want := make([]int64, total)
-	if n := NewLoserTree(cloneRuns()).MergeInto(want); n != total {
-		t.Fatalf("%s: MergeInto wrote %d of %d", label, n, total)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: %s diverges from the sorted input at %d: %d != %d", label, drain, i, got[i], want[i])
+			}
+		}
 	}
 	got := make([]int64, total)
-	if n := NewLoserTree(cloneRuns()).MergeIntoBatched(got); n != total {
-		t.Fatalf("%s: MergeIntoBatched wrote %d of %d", label, n, total)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: batched drain diverges at %d: %d != %d", label, i, got[i], want[i])
-		}
-	}
+	check("MergeInto", got, NewLoserTree(runs).MergeInto(got))
+	got = make([]int64, total)
+	check("MergeIntoBatched", got, NewLoserTree(runs).MergeIntoBatched(got))
+	got = make([]int64, total)
+	MergeK(got, runs...)
+	check("MergeK", got, total)
 }
 
 func TestMergeIntoBatchedMatchesPerElement(t *testing.T) {
@@ -44,7 +44,7 @@ func TestMergeIntoBatchedMatchesPerElement(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(15)
 		runs := makeRuns(rng, k, 80)
-		drainBoth(t, "random", runs)
+		checkMerges(t, "random", runs)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestMergeIntoBatchedAdversarial(t *testing.T) {
 		},
 	}
 	for name, runs := range cases {
-		drainBoth(t, name, runs)
+		checkMerges(t, name, runs)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestMergeIntoBatchedKPowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, k := range []int{1, 2, 3, 5, 7, 8, 9, 16, 17, 33} {
 		runs := makeRuns(rng, k, 64)
-		drainBoth(t, "k-pad", runs)
+		checkMerges(t, "k-pad", runs)
 	}
 }
 
@@ -218,6 +218,21 @@ func TestMergeIntoBatchedAllocationFree(t *testing.T) {
 	}
 }
 
+func TestMergeKAllocationFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	// Up to ltStackFanIn runs the whole tree lives on MergeK's stack.
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{3, 8, 17, ltStackFanIn} {
+		runs := makeRuns(rng, k, 400)
+		dst := make([]int64, len(flatten(runs)))
+		if allocs := testing.AllocsPerRun(5, func() { MergeK(dst, runs...) }); allocs != 0 {
+			t.Errorf("MergeK over %d runs allocates %.1f times per call", k, allocs)
+		}
+	}
+}
+
 func FuzzMergeBatchedMatchesPerElement(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
 	f.Add([]byte{}, uint8(1))
@@ -233,7 +248,7 @@ func FuzzMergeBatchedMatchesPerElement(f *testing.F) {
 		for _, r := range runs {
 			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
 		}
-		drainBoth(t, "fuzz", runs)
+		checkMerges(t, "fuzz", runs)
 	})
 }
 

@@ -19,6 +19,16 @@ func checkSorted(t *testing.T, label string, got []int64, want []int64) {
 	}
 }
 
+// quickCheck runs quick.Check over f with maxCount inputs drawn from a
+// fixed seed, so a failure reproduces exactly; the error names the seed.
+func quickCheck(t *testing.T, f any, seed int64, maxCount int) {
+	t.Helper()
+	cfg := &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Errorf("quick.Check with seed %d: %v", seed, err)
+	}
+}
+
 func TestSerialAllOrders(t *testing.T) {
 	for _, o := range workload.Orders() {
 		for _, n := range []int{0, 1, 2, 3, 23, 24, 25, 1000, 4096} {
@@ -36,9 +46,7 @@ func TestSerialQuickCheck(t *testing.T) {
 		Serial(xs)
 		return workload.IsSorted(xs) && workload.Fingerprint(xs) == workload.Fingerprint(orig)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, f, 1, 500)
 }
 
 func TestSerialAdversarialPatterns(t *testing.T) {
@@ -157,9 +165,7 @@ func TestMerge2Property(t *testing.T) {
 		all := append(append([]int64(nil), a...), b...)
 		return workload.IsSorted(dst) && workload.Fingerprint(dst) == workload.Fingerprint(all)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, f, 2, 300)
 }
 
 func makeRuns(rng *rand.Rand, k, maxLen int) [][]int64 {
@@ -370,9 +376,7 @@ func TestParallelSortQuickCheck(t *testing.T) {
 		Parallel(xs, p)
 		return workload.IsSorted(xs) && workload.Fingerprint(xs) == workload.Fingerprint(orig)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, f, 3, 200)
 }
 
 func TestParallelSortMoreWorkersThanElements(t *testing.T) {

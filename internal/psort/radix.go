@@ -1,13 +1,13 @@
 package psort
 
-// LSD radix sort: the throughput kernel behind the adaptive dispatcher,
-// generic over 64-bit key patterns. An introsort moves every element
-// O(log n) times; the radix sort moves it at most 8 times (once per byte
-// digit) with purely sequential reads and bucketed writes — the
-// streaming access pattern the paper's memory-system analysis wants its
-// compute kernels to have. On uniform-random 64-bit keys at 1e6+
-// elements it beats the comparison sort severalfold; BENCH_PR10.json
-// tracks the ratio.
+// LSD radix sort: the throughput kernel behind the adaptive dispatcher.
+// An introsort moves every element O(log n) times; the radix sort moves
+// it at most 8 times (once per byte digit) with purely sequential reads
+// and bucketed writes — the streaming access pattern the paper's
+// memory-system analysis wants its compute kernels to have. On
+// uniform-random 64-bit keys at 1e6+ elements it beats the comparison
+// sort severalfold; kernelbench's sort-1e5/sort-1e6 pairs track the
+// ratio and CI's bench-smoke step floors it.
 //
 // The implementation is a classic stable counting sort per 8-bit digit,
 // with three adaptivity tricks:
@@ -35,7 +35,9 @@ package psort
 // Signedness is handled on the top digit alone: flipping its high bit
 // makes two's-complement order agree with unsigned bucket order.
 // float64 keys enter through the same kernel after the keys.go bit
-// flip, and fixed-width records run the record.go twin of the scatter.
+// flip (through the view.go reinterpretation, so the core stays
+// concrete []int64), and fixed-width records run the record.go twin of
+// the scatter.
 
 // radixDigits is the number of 8-bit digits in a 64-bit key.
 const radixDigits = 8
@@ -68,11 +70,6 @@ const radixTileMinLen = 4 << 20
 // fill index with tileLine-1) and below 256 (fill counters are uint8).
 const tileLine = 64
 
-// radixKey constrains the key patterns the shared radix core sorts:
-// two's-complement int64 (sign-biased top digit) and plain uint64 (the
-// image of the float64 bit flip).
-type radixKey interface{ ~int64 | ~uint64 }
-
 // RadixSort sorts xs ascending, allocating its own scratch buffer. Hot
 // paths should use RadixSortScratch (or SortAdaptive) with pooled scratch
 // instead.
@@ -89,7 +86,7 @@ func RadixSort(xs []int64) {
 // unspecified. Large inputs scatter through the tiled write buffers;
 // small ones use the plain scatter (see radixTileMinLen).
 func RadixSortScratch(xs, scratch []int64) {
-	radixSortScratch(xs, scratch, true, len(xs) >= radixTileMinLen)
+	radixSortScratch(xs, scratch, len(xs) >= radixTileMinLen)
 }
 
 // RadixSortScratchUntiled is the pre-tiling kernel: identical digit
@@ -97,13 +94,12 @@ func RadixSortScratch(xs, scratch []int64) {
 // of the kernelbench tiling pair and a conformance reference; new code
 // should call RadixSortScratch.
 func RadixSortScratchUntiled(xs, scratch []int64) {
-	radixSortScratch(xs, scratch, true, false)
+	radixSortScratch(xs, scratch, false)
 }
 
-// radixSortScratch is the shared LSD core. signed selects the
-// sign-biased top digit (int64 order); without it keys bucket in plain
-// unsigned order (the float64 sort-key domain).
-func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
+// radixSortScratch is the shared LSD core; tiled selects the staged
+// scatter.
+func radixSortScratch(xs, scratch []int64, tiled bool) {
 	n := len(xs)
 	if n < 2 {
 		return
@@ -111,13 +107,9 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 	if len(scratch) < n {
 		panic("psort: radix scratch shorter than input")
 	}
-	topXor := uint8(0)
-	if signed {
-		topXor = 0x80
-	}
 
-	// One pass builds all eight histograms. The top digit is biased so
-	// negative keys land in the low buckets.
+	// One pass builds all eight histograms. The top digit is biased by
+	// 0x80 so negative keys land in the low buckets.
 	var counts [radixDigits][256]int
 	for _, v := range xs {
 		u := uint64(v)
@@ -128,7 +120,7 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 		counts[4][(u>>32)&0xff]++
 		counts[5][(u>>40)&0xff]++
 		counts[6][(u>>48)&0xff]++
-		counts[7][uint8(u>>56)^topXor]++
+		counts[7][(u>>56)^0x80]++
 	}
 
 	src, dst := xs, scratch[:n]
@@ -136,7 +128,7 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 		c := &counts[d]
 		// Skip digits every key agrees on: one bucket holds everything.
 		// Probing the bucket of the first key settles it in O(1).
-		probe := digitOf(src[0], d, topXor)
+		probe := digit(src[0], d)
 		if c[probe] == n {
 			continue
 		}
@@ -149,9 +141,9 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 			sum += cnt
 		}
 		if tiled {
-			radixScatterTiled(src, dst, c, d, topXor)
+			radixScatterTiled(src, dst, c, d)
 		} else {
-			radixScatterPlain(src, dst, c, d, topXor)
+			radixScatterPlain(src, dst, c, d)
 		}
 		src, dst = dst, src
 	}
@@ -161,10 +153,15 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 }
 
 // radixScatterPlain is the pre-tiling scatter: one write per element,
-// straight to the destination bucket cursor.
-func radixScatterPlain[K radixKey](src, dst []K, c *[256]int, d int, topXor uint8) {
+// straight to the destination bucket cursor. It must stay out of line:
+// inlined into radixSortScratch's pass loop, beside the call to the
+// tiled scatter, its loop runs ~1.5x slower on amd64 (go1.24), because
+// the cursors it keeps in registers here get spilled there.
+//
+//go:noinline
+func radixScatterPlain(src, dst []int64, c *[256]int, d int) {
 	for _, v := range src {
-		b := digitOf(v, d, topXor)
+		b := digit(v, d)
 		dst[c[b]] = v
 		c[b]++
 	}
@@ -176,11 +173,11 @@ func radixScatterPlain[K radixKey](src, dst []K, c *[256]int, d int, topXor uint
 // tail flush drains partial buffers in bucket order. The fill index is
 // masked with tileLine-1 (provably in range) so the hot stage store
 // carries no bounds check.
-func radixScatterTiled[K radixKey](src, dst []K, c *[256]int, d int, topXor uint8) {
-	var stage [256][tileLine]K
+func radixScatterTiled(src, dst []int64, c *[256]int, d int) {
+	var stage [256][tileLine]int64
 	var fill [256]uint8
 	for _, v := range src {
-		b := digitOf(v, d, topXor)
+		b := digit(v, d)
 		f := fill[b]
 		stage[b][f&(tileLine-1)] = v
 		f++
@@ -202,20 +199,14 @@ func radixScatterTiled[K radixKey](src, dst []K, c *[256]int, d int, topXor uint
 	}
 }
 
-// digitOf extracts key v's d-th byte in bucket order; topXor biases the
-// top byte (0x80 for signed keys, 0 for unsigned).
-func digitOf[K radixKey](v K, d int, topXor uint8) uint8 {
-	u := uint8(uint64(v) >> (8 * d))
-	if d == radixDigits-1 {
-		u ^= topXor
-	}
-	return u
-}
-
-// digit extracts key v's d-th byte in sign-biased bucket order; kept as
-// the int64 shorthand the record kernel shares.
+// digit extracts key v's d-th byte in bucket order (sign-biased top
+// byte); the record kernel shares it.
 func digit(v int64, d int) uint8 {
-	return digitOf(v, d, 0x80)
+	u := uint64(v) >> (8 * d)
+	if d == radixDigits-1 {
+		u ^= 0x80
+	}
+	return uint8(u)
 }
 
 // SortAdaptive is the kernel dispatcher used by the real execution paths:

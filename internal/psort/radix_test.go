@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"knlmlm/internal/race"
 	"knlmlm/internal/workload"
@@ -84,9 +83,7 @@ func TestRadixQuickCheck(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, f, 4, 500)
 }
 
 func TestRadixScratchTooShortPanics(t *testing.T) {

@@ -1048,7 +1048,6 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	j.finished = now
 	j.mu.Unlock()
 	j.state.Store(int32(st))
-	close(j.done)
 	delete(s.running, j)
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
@@ -1061,6 +1060,9 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	j.trace.MarkFinished(st.String(), errmsg)
 	j.trace.FoldSpans()
 	s.phases.ObserveTrace(j.trace)
+	// Wake waiters only once the job's trace and metrics are final, so a
+	// caller returning from Wait sees a terminal trace.
+	close(j.done)
 	if s.logger.Enabled(context.Background(), slog.LevelInfo) {
 		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "job terminal",
 			slog.String("job", j.id),
