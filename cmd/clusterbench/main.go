@@ -51,6 +51,7 @@ import (
 	"sync"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/wire"
 )
 
@@ -528,16 +529,11 @@ func oneJob(client *http.Client, url, query string, body []byte, buf []int64) (j
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		var eb struct {
-			RetryAfterMS int64 `json:"retry_after_ms"`
-		}
+		var eb api.ErrorBody
 		_ = json.Unmarshal(raw, &eb)
 		return jobRejected, time.Duration(eb.RetryAfterMS) * time.Millisecond
 	}
-	var st struct {
-		State     string `json:"state"`
-		ResultURL string `json:"result_url"`
-	}
+	var st api.JobStatus
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &st) != nil || st.State != "done" {
 		return jobFailed, 0
 	}

@@ -81,6 +81,7 @@ import (
 	"sync"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/wire"
 )
@@ -121,34 +122,6 @@ type config struct {
 	// be a coordinator (its /healthz carries a "backends" fleet view). It
 	// relaxes single-node-only checks; no flag sets it.
 	cluster bool
-}
-
-// sortRequest mirrors internal/serve's POST /v1/sort body.
-type sortRequest struct {
-	Keys       []int64 `json:"keys"`
-	Priority   int     `json:"priority,omitempty"`
-	DeadlineMS int64   `json:"deadline_ms,omitempty"`
-	Wait       bool    `json:"wait,omitempty"`
-}
-
-type jobStatus struct {
-	ID             string `json:"id"`
-	State          string `json:"state"`
-	Error          string `json:"error,omitempty"`
-	ResultURL      string `json:"result_url,omitempty"`
-	Spilled        bool   `json:"spilled,omitempty"`
-	Shed           bool   `json:"shed,omitempty"`
-	DiskLeaseBytes int64  `json:"disk_lease_bytes,omitempty"`
-	// QueueWait is the server-reported enqueue-to-start delay — the
-	// quantity a start deadline bounds.
-	QueueWait string `json:"queue_wait,omitempty"`
-}
-
-// errorBody mirrors internal/serve's rejection body: the typed reason
-// and the server's millisecond-precision retry hint.
-type errorBody struct {
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 // levelResult is one offered-load point of the sweep.
@@ -494,7 +467,7 @@ func runSweep(client *http.Client, cfg config, binary bool) (*modeSweep, error) 
 // (wait, deadline_ms) carried on the query string.
 func submitBody(keys []int64, deadlineMS int64, binary bool, kind wire.Kind) (body []byte, contentType, query string) {
 	if !binary {
-		raw, _ := json.Marshal(sortRequest{Keys: keys, Wait: true, DeadlineMS: deadlineMS})
+		raw, _ := json.Marshal(api.SortRequest{Keys: keys, Wait: true, DeadlineMS: deadlineMS})
 		return raw, "application/json", ""
 	}
 	query = "?wait=1"
@@ -582,7 +555,7 @@ func runSpillPhase(client *http.Client, cfg config, binary bool) (*spillResult, 
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var st jobStatus
+		var st api.JobStatus
 		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &st) != nil || st.State != "done" {
 			sp.Failed++
 			continue
@@ -1122,7 +1095,7 @@ func oneJob(client *http.Client, cfg config, pol retryPolicy, bud *retryBudget, 
 		switch resp.StatusCode {
 		case http.StatusOK:
 			brk.record(time.Now(), false)
-			var st jobStatus
+			var st api.JobStatus
 			if err := json.Unmarshal(raw, &st); err != nil {
 				return 0, 0, attempt, "failed"
 			}
@@ -1161,7 +1134,7 @@ func oneJob(client *http.Client, cfg config, pol retryPolicy, bud *retryBudget, 
 // when present, else the whole-seconds Retry-After header, else zero
 // (the client falls back to exponential backoff).
 func retryHint(resp *http.Response, raw []byte) time.Duration {
-	var eb errorBody
+	var eb api.ErrorBody
 	if json.Unmarshal(raw, &eb) == nil && eb.RetryAfterMS > 0 {
 		return time.Duration(eb.RetryAfterMS) * time.Millisecond
 	}

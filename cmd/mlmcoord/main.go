@@ -22,24 +22,18 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"knlmlm/internal/cluster"
+	"knlmlm/internal/daemon"
 )
 
 type options struct {
-	addr         string
+	daemon.Flags
 	backends     string
 	sampleRate   float64
 	partsPerNode int
@@ -50,14 +44,11 @@ type options struct {
 	retain       int
 	skewLimit    float64
 	seed         int64
-	drainTimeout time.Duration
-	logLevel     string
-	logJSON      bool
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", ":9090", "listen address (host:port; port 0 picks a free port)")
+	o.Register(":9090")
 	flag.StringVar(&o.backends, "backends", "", "comma-separated mlmserve base URLs (required)")
 	flag.Float64Var(&o.sampleRate, "sample-rate", 0, "fraction of keys sampled for splitter selection (0 = 0.01)")
 	flag.IntVar(&o.partsPerNode, "parts-per-backend", 0, "range partitions per backend per job (0 = 2)")
@@ -68,38 +59,12 @@ func main() {
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs retained for status lookup (0 = 64)")
 	flag.Float64Var(&o.skewLimit, "skew-limit", 0, "partition skew triggering a splitter resample (0 = 2.5)")
 	flag.Int64Var(&o.seed, "seed", 1, "splitter sampling seed")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
-	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error, or off")
-	flag.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON (default logfmt-style text)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mlmcoord:", err)
 		os.Exit(1)
 	}
-}
-
-func buildLogger(level string, asJSON bool) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "", "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	case "off", "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("-log-level %q: want debug, info, warn, error, or off", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	if asJSON {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
 func run(o options) error {
@@ -112,7 +77,7 @@ func run(o options) error {
 	if len(backends) == 0 {
 		return fmt.Errorf("-backends is required (comma-separated mlmserve URLs)")
 	}
-	logger, err := buildLogger(o.logLevel, o.logJSON)
+	logger, err := o.Logger()
 	if err != nil {
 		return err
 	}
@@ -140,31 +105,7 @@ func run(o options) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("mlmcoord listening on %s (%d backends)\n", ln.Addr(), len(backends))
-
-	hs := &http.Server{Handler: srv}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		fmt.Printf("mlmcoord: %v — draining\n", s)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mlmcoord: drain:", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := o.Serve("mlmcoord", srv, fmt.Sprintf(" (%d backends)", len(backends))); err != nil {
 		return err
 	}
 	fmt.Println("mlmcoord: drained")

@@ -28,19 +28,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"knlmlm/internal/daemon"
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
 	"knlmlm/internal/mem"
@@ -53,7 +46,7 @@ import (
 
 // options collects the flag set run() serves from.
 type options struct {
-	addr         string
+	daemon.Flags
 	budgetMB     int64
 	ddrMB        int64
 	diskMB       int64
@@ -64,16 +57,11 @@ type options struct {
 	batchElems   int
 	retain       int
 	decodeGate   int
-	chunkElems   int
-	frameElems   int
 	keyPool      bool
 	autotune     bool
 	chaos        bool
 	chaosSeed    int64
 	simChunkMS   int
-	drainTimeout time.Duration
-	logLevel     string
-	logJSON      bool
 	flightCap    int
 	brownout     bool
 	criticalPrio int
@@ -81,7 +69,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+	o.Register(":8080")
 	flag.Int64Var(&o.budgetMB, "budget-mb", 64, "MCDRAM staging budget leased to jobs, in MiB")
 	flag.Int64Var(&o.ddrMB, "ddr-budget-mb", 0, "DDR working-set budget, in MiB (0 = uncapped; over-budget jobs spill when a disk budget is set)")
 	flag.Int64Var(&o.diskMB, "disk-budget-mb", 0, "disk budget for spill run files, in MiB (0 disables the spill class)")
@@ -92,16 +80,11 @@ func main() {
 	flag.IntVar(&o.batchElems, "batch-max-elems", 0, "batchable-job element threshold; jobs at most this large ride a shared pass (0 = budget-derived default, 1 effectively disables batching)")
 	flag.IntVar(&o.retain, "retain", 4096, "terminal jobs retained for status/result lookup")
 	flag.IntVar(&o.decodeGate, "decode-gate", 0, "concurrent submit-body decodes; deadlined requests past the gate get 429 ingest-busy (0 = max(2, GOMAXPROCS))")
-	flag.IntVar(&o.chunkElems, "result-chunk-elems", 0, "JSON result download granularity, elements per chunked write (0 = 8192)")
-	flag.IntVar(&o.frameElems, "wire-frame-elems", 0, "binary result download granularity, elements per wire frame (0 = 32768)")
 	flag.BoolVar(&o.keyPool, "key-pool", true, "recycle upload key buffers through a slice pool: binary submits decode into pooled buffers, retention eviction returns them")
 	flag.BoolVar(&o.autotune, "autotune", false, "measure per-thread rates on staged jobs and feed them to the fair-share solver")
 	flag.BoolVar(&o.chaos, "chaos", false, "run every job pipeline under a seeded fault-injection plan")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "chaos plan seed (with -chaos)")
 	flag.IntVar(&o.simChunkMS, "sim-chunk-ms", 0, "add a fixed sleep to every chunk's Compute stage, in ms: makes per-node service rate a configured quantity so cluster scale-out is measurable on one box (0 = off)")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
-	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error, or off")
-	flag.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON (default logfmt-style text)")
 	flag.IntVar(&o.flightCap, "flight-recorder", 0, "job traces retained in the flight recorder ring (0 = default)")
 	flag.BoolVar(&o.brownout, "brownout", true, "enable the overload brownout controller (shed spill class, shrink batches, critical-only admission)")
 	flag.IntVar(&o.criticalPrio, "critical-priority", 0, "minimum job priority admitted at the critical-only brownout level (0 = default 1)")
@@ -113,32 +96,6 @@ func main() {
 	}
 }
 
-// buildLogger maps -log-level/-log-json onto a slog.Logger on stderr
-// (stdout stays machine-parsable: the listen line and drain summary).
-// Level "off" returns nil, which both layers treat as logging disabled.
-func buildLogger(level string, asJSON bool) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "", "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	case "off", "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("-log-level %q: want debug, info, warn, error, or off", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	if asJSON {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-}
-
 func run(o options) error {
 	if o.budgetMB <= 0 {
 		return fmt.Errorf("-budget-mb must be positive")
@@ -147,7 +104,7 @@ func run(o options) error {
 		return fmt.Errorf("-ddr-budget-mb and -disk-budget-mb must be non-negative")
 	}
 	budget := units.Bytes(o.budgetMB) * units.MiB
-	logger, err := buildLogger(o.logLevel, o.logJSON)
+	logger, err := o.Logger()
 	if err != nil {
 		return err
 	}
@@ -230,43 +187,16 @@ func run(o options) error {
 		Registry:          reg,
 		Logger:            logger,
 		DecodeConcurrency: o.decodeGate,
-		ResultChunkElems:  o.chunkElems,
-		WireFrameElems:    o.frameElems,
 	})
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
+	detail := fmt.Sprintf(" (budget %v)", budget)
 	if cfg.DiskBudget > 0 {
-		fmt.Printf("mlmserve listening on %s (budget %v, ddr %v, disk %v, rate %v)\n",
-			ln.Addr(), budget, cfg.DDRBudget, cfg.DiskBudget, sc.DiskRate().Read)
-	} else {
-		fmt.Printf("mlmserve listening on %s (budget %v)\n", ln.Addr(), budget)
+		detail = fmt.Sprintf(" (budget %v, ddr %v, disk %v, rate %v)",
+			budget, cfg.DDRBudget, cfg.DiskBudget, sc.DiskRate().Read)
 	}
-
-	hs := &http.Server{Handler: srv}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		fmt.Printf("mlmserve: %v — draining\n", s)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mlmserve: drain:", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := o.Serve("mlmserve", srv, detail); err != nil {
 		return err
 	}
 	snap := sc.Snapshot()

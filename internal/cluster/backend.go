@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/wire"
 )
@@ -31,46 +32,10 @@ type backend struct {
 	mu       sync.Mutex
 	up       bool
 	lastPoll time.Time
-	cap      capacity
+	cap      api.Capacity
 
 	bytesRouted *telemetry.Counter
 	upGauge     *telemetry.Gauge
-}
-
-// capacity mirrors the serve /healthz capacity block — everything the
-// router needs to weight this node.
-type capacity struct {
-	HeadroomBytes    int64   `json:"headroom_bytes"`
-	QueueDepth       int     `json:"queue_depth"`
-	BrownoutLevel    int     `json:"brownout_level"`
-	EWMACopyBps      float64 `json:"ewma_copy_bps"`
-	EWMACompBps      float64 `json:"ewma_comp_bps"`
-	Threads          int     `json:"threads"`
-	PredictedStartMS float64 `json:"predicted_start_ms"`
-}
-
-// healthResp is the subset of the backend /healthz body the poller reads.
-type healthResp struct {
-	Status   string   `json:"status"`
-	Draining bool     `json:"draining"`
-	Capacity capacity `json:"capacity"`
-}
-
-// remoteStatus is the subset of the backend job-status body the
-// coordinator consumes.
-type remoteStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	N     int    `json:"n"`
-	Shed  bool   `json:"shed,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// remoteError is a backend's non-2xx error body.
-type remoteError struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 // backpressureError marks a 429: the backend is alive but refusing work,
@@ -103,19 +68,15 @@ func (e *dialError) Unwrap() error { return e.err }
 // draining or unreachable node is marked down; the router then routes
 // around it until a later poll succeeds.
 func (b *backend) poll(client *http.Client) {
-	ok, cap := func() (bool, capacity) {
-		req, err := http.NewRequest(http.MethodGet, b.base+"/healthz", nil)
+	ok, cap := func() (bool, api.Capacity) {
+		resp, err := client.Get(b.base + "/healthz")
 		if err != nil {
-			return false, capacity{}
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return false, capacity{}
+			return false, api.Capacity{}
 		}
 		defer resp.Body.Close()
-		var h healthResp
+		var h api.NodeHealth
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-			return false, capacity{}
+			return false, api.Capacity{}
 		}
 		// A draining node answers 503 with a well-formed body: down for
 		// routing purposes even though the poll succeeded.
@@ -152,7 +113,7 @@ func (b *backend) markDown() {
 	}
 }
 
-func (b *backend) snapshot() (bool, capacity) {
+func (b *backend) snapshot() (bool, api.Capacity) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.up, b.cap
@@ -213,7 +174,7 @@ func (b *backend) submitSorted(ctx context.Context, keys []int64, opts jobOption
 		return "", &dialError{backend: b.idx, err: err}
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		var re remoteError
+		var re api.ErrorBody
 		_ = json.Unmarshal(raw, &re)
 		ra := time.Duration(re.RetryAfterMS) * time.Millisecond
 		if ra <= 0 {
@@ -222,11 +183,11 @@ func (b *backend) submitSorted(ctx context.Context, keys []int64, opts jobOption
 		return "", &backpressureError{backend: b.idx, retryAfter: ra, code: re.Code}
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		var re remoteError
+		var re api.ErrorBody
 		_ = json.Unmarshal(raw, &re)
 		return "", fmt.Errorf("cluster: backend %d submit: HTTP %d %s %s", b.idx, resp.StatusCode, re.Code, re.Error)
 	}
-	var st remoteStatus
+	var st api.JobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return "", fmt.Errorf("cluster: backend %d submit: bad status body: %w", b.idx, err)
 	}
@@ -270,7 +231,7 @@ func (b *backend) openStream(ctx context.Context, remoteID string) (*wire.Reader
 		b.markDown()
 		return nil, nil, &dialError{backend: b.idx, err: errInjectedDial}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/jobs/"+remoteID+"/result", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+api.ResultURL(remoteID), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -302,7 +263,7 @@ func (b *backend) openStream(ctx context.Context, remoteID string) (*wire.Reader
 // coordinator's cancel path); errors are ignored — the backend's own
 // retention will reap it.
 func (b *backend) cancelRemote(remoteID string) {
-	req, err := http.NewRequest(http.MethodDelete, b.base+"/v1/jobs/"+remoteID, nil)
+	req, err := http.NewRequest(http.MethodDelete, b.base+api.JobURL(remoteID), nil)
 	if err != nil {
 		return
 	}

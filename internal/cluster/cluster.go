@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/telemetry"
 )
 
@@ -623,11 +624,11 @@ func (c *Coordinator) Draining() bool { return c.draining.Load() }
 // backendViews snapshots per-backend health for /healthz, in index
 // order.
 type backendView struct {
-	Index    int      `json:"index"`
-	Addr     string   `json:"addr"`
-	Up       bool     `json:"up"`
-	Weight   float64  `json:"weight"`
-	Capacity capacity `json:"capacity"`
+	Index    int          `json:"index"`
+	Addr     string       `json:"addr"`
+	Up       bool         `json:"up"`
+	Weight   float64      `json:"weight"`
+	Capacity api.Capacity `json:"capacity"`
 }
 
 func (c *Coordinator) backendViews() []backendView {

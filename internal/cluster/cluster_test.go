@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
 	"knlmlm/internal/sched"
@@ -110,9 +111,9 @@ func checkResult(t *testing.T, got, want []int64) {
 	}
 }
 
-func submitWaitJSON(t *testing.T, tc *testCluster, keys []int64) jobStatus {
+func submitWaitJSON(t *testing.T, tc *testCluster, keys []int64) api.JobStatus {
 	t.Helper()
-	raw, _ := json.Marshal(sortRequest{Keys: keys, Wait: true})
+	raw, _ := json.Marshal(api.SortRequest{Keys: keys, Wait: true})
 	resp, err := http.Post(tc.http.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("POST /v1/sort: %v", err)
@@ -122,7 +123,7 @@ func submitWaitJSON(t *testing.T, tc *testCluster, keys []int64) jobStatus {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var st jobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("decode status: %v", err)
 	}
@@ -185,7 +186,7 @@ func TestClusterBinaryRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("binary submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
-	var st jobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("decode status: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestClusterBinaryRoundTrip(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("wire download: HTTP %d", dresp.StatusCode)
 	}
-	if ct := dresp.Header.Get("Content-Type"); !isWireContentType(ct) {
+	if ct := dresp.Header.Get("Content-Type"); !api.IsWireContentType(ct) {
 		t.Fatalf("wire download Content-Type %q", ct)
 	}
 	got, err := wire.Decode(dresp.Body, int64(len(keys)), nil)
@@ -327,7 +328,7 @@ func TestClusterDrainRefusesSubmissions(t *testing.T) {
 	if err := tc.coord.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	raw, _ := json.Marshal(sortRequest{Keys: []int64{3, 1, 2}})
+	raw, _ := json.Marshal(api.SortRequest{Keys: []int64{3, 1, 2}})
 	resp, err := http.Post(tc.http.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("POST after drain: %v", err)

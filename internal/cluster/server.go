@@ -2,60 +2,41 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/wire"
 )
 
-// Server is the coordinator's HTTP face. It speaks the same protocol as
-// a single mlmserve node — POST /v1/sort (JSON or binary), job status,
-// streamed result download with wire content negotiation, /healthz,
-// /metrics — so loadgen and other clients point at a coordinator with no
-// changes; /healthz additionally carries the fleet view (a "backends"
-// array), which is also how a client can tell the tiers apart.
+// Server is the coordinator's HTTP face. It speaks the node protocol of
+// internal/api — POST /v1/sort (JSON or binary), job status, streamed
+// result download with wire content negotiation, /healthz, /metrics —
+// so loadgen and other clients point at a coordinator with no changes;
+// /healthz additionally carries the fleet view (a "backends" array),
+// which is also how a client can tell the tiers apart.
 type Server struct {
-	coord        *Coordinator
-	mux          *http.ServeMux
-	maxBodyBytes int64
-	chunkElems   int
+	coord *Coordinator
+	mux   *http.ServeMux
 }
 
 // ServerConfig describes a Server.
 type ServerConfig struct {
 	// Coordinator is the routing core. Required.
 	Coordinator *Coordinator
-	// MaxBodyBytes bounds submit bodies. Zero selects 256 MiB — the
-	// coordinator exists to take jobs bigger than one node wants.
-	MaxBodyBytes int64
-	// ResultChunkElems is the JSON result streaming granularity. Zero
-	// selects 8192.
-	ResultChunkElems int
 }
+
+// maxBodyBytes bounds submit bodies: 256 MiB, four times a node's limit
+// — the coordinator exists to take jobs bigger than one node wants.
+const maxBodyBytes = 256 << 20
 
 // NewServer builds the HTTP front end.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Coordinator == nil {
 		return nil, fmt.Errorf("cluster: Coordinator is required")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 256 << 20
-	}
-	if cfg.ResultChunkElems <= 0 {
-		cfg.ResultChunkElems = 8192
-	}
-	s := &Server{
-		coord:        cfg.Coordinator,
-		mux:          http.NewServeMux(),
-		maxBodyBytes: cfg.MaxBodyBytes,
-		chunkElems:   cfg.ResultChunkElems,
-	}
+	s := &Server{coord: cfg.Coordinator, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/sort", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -70,40 +51,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Drain flips healthz to 503 and waits for in-flight jobs.
 func (s *Server) Drain(ctx context.Context) error { return s.coord.Drain(ctx) }
 
-// Wire bodies mirror internal/serve's so clients see one protocol.
-
-type sortRequest struct {
-	Keys         []int64 `json:"keys"`
-	Priority     int     `json:"priority,omitempty"`
-	DeadlineMS   int64   `json:"deadline_ms,omitempty"`
-	Algorithm    string  `json:"algorithm,omitempty"`
-	MegachunkLen int     `json:"megachunk_len,omitempty"`
-	Wait         bool    `json:"wait,omitempty"`
-}
-
-type jobStatus struct {
-	ID        string  `json:"id"`
-	State     string  `json:"state"`
-	N         int     `json:"n"`
-	Parts     int     `json:"parts,omitempty"`
-	Retries   int     `json:"retries,omitempty"`
-	Skew      float64 `json:"skew,omitempty"`
-	Resampled bool    `json:"resampled,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	ResultURL string  `json:"result_url,omitempty"`
-	Enqueued  string  `json:"enqueued,omitempty"`
-	Started   string  `json:"started,omitempty"`
-	Finished  string  `json:"finished,omitempty"`
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-func statusOf(j *Job) jobStatus {
+func statusOf(j *Job) api.JobStatus {
 	j.mu.Lock()
-	st := jobStatus{
+	st := api.JobStatus{
 		ID:        j.id,
 		State:     j.state,
 		N:         j.n,
@@ -114,111 +64,26 @@ func statusOf(j *Job) jobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	enq, sta, fin := j.enq, j.started, j.fin
-	done := j.state == stateDone
+	if j.state == stateDone {
+		st.ResultURL = api.ResultURL(j.id)
+	}
+	st.SetTimes(j.enq, j.started, j.fin)
 	j.mu.Unlock()
 	st.Retries = j.Retries()
-	if done {
-		st.ResultURL = "/v1/jobs/" + j.id + "/result"
-	}
-	if !enq.IsZero() {
-		st.Enqueued = enq.UTC().Format(time.RFC3339Nano)
-	}
-	if !sta.IsZero() {
-		st.Started = sta.UTC().Format(time.RFC3339Nano)
-	}
-	if !fin.IsZero() {
-		st.Finished = fin.UTC().Format(time.RFC3339Nano)
-	}
 	return st
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func isWireContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(ct), wire.ContentType)
-}
-
-func acceptsWire(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if isWireContentType(part) {
-			return true
-		}
-	}
-	return false
-}
-
-// decodeSubmit parses either body encoding into a sortRequest; binary
-// bodies carry options as query parameters exactly like the single-node
-// protocol.
-func (s *Server) decodeSubmit(w http.ResponseWriter, r *http.Request) (sortRequest, bool) {
-	var req sortRequest
-	bad := func(msg string) (sortRequest, bool) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: msg, Code: "bad-request"})
-		return req, false
-	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if !isWireContentType(r.Header.Get("Content-Type")) {
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&req); err != nil {
-			return bad("bad request body: " + err.Error())
-		}
-		if _, err := dec.Token(); err != io.EOF {
-			return bad("trailing data after JSON body")
-		}
-		return req, true
-	}
-	q := r.URL.Query()
-	if v := q.Get("priority"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad priority: " + v)
-		}
-		req.Priority = p
-	}
-	if v := q.Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return bad("bad deadline_ms: " + v)
-		}
-		req.DeadlineMS = ms
-	}
-	if v := q.Get("megachunk_len"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad megachunk_len: " + v)
-		}
-		req.MegachunkLen = n
-	}
-	req.Algorithm = q.Get("algorithm")
-	req.Wait = q.Get("wait") == "1" || strings.EqualFold(q.Get("wait"), "true")
-	if req.DeadlineMS == 0 {
-		if ms, err := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); err == nil && ms > 0 {
-			req.DeadlineMS = ms
-		}
-	}
-	keys, err := wire.Decode(body, s.maxBodyBytes/8, nil)
-	if err != nil {
-		return bad("bad binary body: " + err.Error())
-	}
-	req.Keys = keys
-	return req, true
-}
-
+// handleSubmit parses with the node's rules, so a bad option is refused
+// here, before any partition is uploaded. The coordinator sorts int64
+// keys only.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeSubmit(w, r)
+	req, ok := api.ParseSubmit(w, r, maxBodyBytes, nil)
 	if !ok {
 		return
 	}
-	if len(req.Keys) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "keys must be non-empty", Code: "bad-request"})
+	if req.Kind != wire.KindInt64 {
+		api.WriteError(w, http.StatusBadRequest, "bad-request",
+			"the coordinator sorts i64 keys only, not "+req.Kind.String())
 		return
 	}
 	j, err := s.coord.Submit(req.Keys, jobOptions{
@@ -227,47 +92,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Algorithm:    req.Algorithm,
 		MegachunkLen: req.MegachunkLen,
 	})
-	if err != nil {
-		if errors.Is(err, errDraining) {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Code: "draining"})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-request"})
+	if errors.Is(err, errDraining) {
+		api.WriteError(w, http.StatusServiceUnavailable, "draining", err.Error())
+		return
+	} else if err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad-request", err.Error())
 		return
 	}
 	if req.Wait {
 		if err := j.Wait(r.Context()); err != nil {
 			return // client went away; the job keeps running
 		}
-		writeJSON(w, http.StatusOK, statusOf(j))
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusAccepted, statusOf(j))
+	w.Header().Set("Location", api.JobURL(j.ID()))
+	api.WriteJSON(w, http.StatusAccepted, statusOf(j))
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.coord.Lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job", Code: "not-found"})
-		return nil, false
+		api.NotFound(w)
 	}
-	return j, true
+	return j, ok
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookup(w, r); ok {
-		writeJSON(w, http.StatusOK, statusOf(j))
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
+	if j, ok := s.lookup(w, r); ok {
+		j.Cancel()
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 	}
-	j.Cancel()
-	writeJSON(w, http.StatusOK, statusOf(j))
 }
 
 // handleResult streams the merged result — chunked JSON array by
@@ -280,85 +141,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	started := false
-	var emit func([]int64) error
-	var finish func() error
-	if acceptsWire(r) {
-		fw := wire.NewWriter(w, j.N(), 0)
-		emit = func(batch []int64) error {
-			if !started {
-				w.Header().Set("Content-Type", wire.ContentType)
-				w.Header().Set("X-Sort-Elements", strconv.Itoa(j.N()))
-				started = true
-			}
-			if err := fw.Write(batch); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		}
-		finish = fw.Close
-	} else {
-		first := true
-		var buf []byte
-		emit = func(batch []int64) error {
-			if !started {
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Sort-Elements", strconv.Itoa(j.N()))
-				if _, err := w.Write([]byte("[")); err != nil {
-					return err
-				}
-				started = true
-			}
-			for lo := 0; lo < len(batch); lo += s.chunkElems {
-				hi := lo + s.chunkElems
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				buf = buf[:0]
-				for _, v := range batch[lo:hi] {
-					if !first {
-						buf = append(buf, ',')
-					}
-					first = false
-					buf = strconv.AppendInt(buf, v, 10)
-				}
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return nil
-		}
-		finish = func() error {
-			if !started {
-				w.Header().Set("Content-Type", "application/json")
-				if _, err := w.Write([]byte("[")); err != nil {
-					return err
-				}
-			}
-			_, err := w.Write([]byte("]\n"))
-			return err
-		}
-	}
-	_, err := j.StreamResult(r.Context(), emit)
+	err := api.WriteResult(w, r, api.Result{N: j.N(), Stream: j.StreamResult})
 	switch {
 	case err == nil:
-		_ = finish()
 	case errors.Is(err, ErrNotReady):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "not-ready"})
+		api.WriteError(w, http.StatusConflict, "not-ready", err.Error())
 	case errors.Is(err, ErrResultConsumed):
-		writeJSON(w, http.StatusGone, errorBody{Error: err.Error(), Code: "result-consumed"})
-	case started || r.Context().Err() != nil:
-		// Bytes already on the wire (or the client left): the truncated
-		// body is the only remaining failure signal.
+		api.WriteError(w, http.StatusGone, "result-consumed", err.Error())
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "cluster-merge"})
+		api.WriteError(w, http.StatusInternalServerError, "cluster-merge", err.Error())
 	}
 }
 
@@ -391,7 +182,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body.Status = "no-backends"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	api.WriteJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/telemetry"
 )
 
@@ -24,10 +25,8 @@ import (
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.sched.FlightRecorder().Get(r.PathValue("id"))
 	if tr == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{
-			Error: "no trace: job unknown or evicted from the flight recorder",
-			Code:  "trace-not-found",
-		})
+		api.WriteError(w, http.StatusNotFound, "trace-not-found",
+			"no trace: job unknown or evicted from the flight recorder")
 		return
 	}
 	if r.URL.Query().Get("format") == "chrome" {
@@ -36,7 +35,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		_ = tr.Chrome().Write(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, tr.Snapshot())
+	api.WriteJSON(w, http.StatusOK, tr.Snapshot())
 }
 
 // flightJob is the compact per-job row of /debug/flightrecorder.
@@ -83,7 +82,7 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 			TraceURL:  "/debug/jobs/" + snap.ID + "/trace",
 		})
 	}
-	writeJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, body)
 }
 
 // overloadBody pairs the phase decomposition with the scheduler's
@@ -130,5 +129,5 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 	body.Brownout.QueueDelayEWMAMS = float64(snap.QueueDelayEWMA.Nanoseconds()) / 1e6
 	body.Brownout.PredictedStartMS = float64(snap.PredictedStart.Nanoseconds()) / 1e6
 	body.Brownout.Shed = s.sched.ShedTotals()
-	writeJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, body)
 }

@@ -1,5 +1,5 @@
-// Package serve is the network front end of the sort service: a
-// dependency-free HTTP/JSON API over internal/sched. It maps the
+// Package serve is the network front end of the sort service: the
+// protocol of internal/api over internal/sched. It maps the
 // scheduler's typed admission errors onto HTTP semantics (429 with
 // Retry-After for overload, 413 for jobs that can never fit any tier's
 // budget), streams large sorted results with chunked transfer encoding,
@@ -22,11 +22,14 @@
 // with Accept: application/x-mlm-keys streams the sorted keys as
 // frame-sized writes directly off Job.StreamResult, for in-memory and
 // spilled jobs alike. JSON remains the default in both directions.
+// Parsing, negotiation and result streaming live in internal/api, which
+// the cluster coordinator shares; this package adds the scheduler glue:
+// the decode gate, pre-decode shedding, scheduler error mapping, job
+// traces and the /debug routes.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,12 +37,11 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/wire"
@@ -56,9 +58,6 @@ type Config struct {
 	// MaxBodyBytes bounds POST /v1/sort request bodies. Zero selects
 	// 64 MiB.
 	MaxBodyBytes int64
-	// ResultChunkElems is the streaming granularity of result downloads
-	// (elements per write/flush). Zero selects 8192.
-	ResultChunkElems int
 	// KeyPool supplies the destination buffers for binary submit bodies.
 	// Defaults to the scheduler's pool (Scheduler.KeyPool), closing the
 	// recycle loop: upload decodes into a pooled buffer, the sort runs in
@@ -66,11 +65,6 @@ type Config struct {
 	// upload. When the scheduler has no pool either, a private pool keeps
 	// the decode path uniform (its buffers are simply never recycled).
 	KeyPool *mem.SlicePool
-	// WireFrameElems is the frame granularity of binary result downloads
-	// (elements per wire frame). Zero selects wire.DefaultFrameElems;
-	// it is deliberately independent of ResultChunkElems, whose smaller
-	// default suits the JSON encoder's per-chunk buffer.
-	WireFrameElems int
 	// DecodeConcurrency bounds how many submit bodies decode at once.
 	// Parsing a large key array costs about as much CPU as sorting it, so
 	// unbounded concurrent decodes are an unmodeled second queue in front
@@ -107,12 +101,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
-	}
-	if cfg.ResultChunkElems <= 0 {
-		cfg.ResultChunkElems = 8192
-	}
-	if cfg.WireFrameElems <= 0 {
-		cfg.WireFrameElems = wire.DefaultFrameElems
 	}
 	if cfg.KeyPool == nil {
 		cfg.KeyPool = cfg.Scheduler.KeyPool()
@@ -180,67 +168,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.Drain(ctx)
 }
 
-// sortRequest is the POST /v1/sort body.
-type sortRequest struct {
-	// Keys are the int64 keys to sort.
-	Keys []int64 `json:"keys"`
-	// KeyType names the key representation ("i64" default). The typed
-	// kinds ("f64" raw IEEE-754 bit cells, "rec" interleaved key/payload
-	// cell pairs) are binary-wire-only: JSON has no lossless carrier for
-	// 64-bit float payloads or record pairs, so a JSON submit naming one
-	// is a 400. On binary submits the field is implied by the
-	// Content-Type kind parameter.
-	KeyType string `json:"key_type,omitempty"`
-	// Priority orders admission (higher sooner; default 0).
-	Priority int `json:"priority,omitempty"`
-	// DeadlineMS, when positive, is a start deadline relative to arrival.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Algorithm names the sort variant ("MLM-sort" default, "MLM-hybrid"
-	// the hybrid-mode twin).
-	Algorithm string `json:"algorithm,omitempty"`
-	// MegachunkLen overrides automatic budget-aware megachunk sizing.
-	MegachunkLen int `json:"megachunk_len,omitempty"`
-	// Wait holds the response until the job is terminal (long poll).
-	Wait bool `json:"wait,omitempty"`
-}
-
-// jobStatus is the wire form of a job.
-type jobStatus struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	N          int    `json:"n"`
-	QueueWait  string `json:"queue_wait,omitempty"`
-	LeaseBytes int64  `json:"lease_bytes,omitempty"`
-	// KeyType is the job's key representation ("f64", "rec"); omitted
-	// for plain int64 jobs.
-	KeyType string `json:"key_type,omitempty"`
-	// Spilled marks a spill-class job: its result is produced by a
-	// consume-once streaming merge at ResultURL.
-	Spilled        bool  `json:"spilled,omitempty"`
-	DiskLeaseBytes int64 `json:"disk_lease_bytes,omitempty"`
-	// Shed marks a job the scheduler itself evicted under overload
-	// control (deadline infeasible, brownout) — distinct from a client
-	// cancel and safe to retry later.
-	Shed      bool   `json:"shed,omitempty"`
-	Error     string `json:"error,omitempty"`
-	ResultURL string `json:"result_url,omitempty"`
-	Enqueued  string `json:"enqueued,omitempty"`
-	Started   string `json:"started,omitempty"`
-	Finished  string `json:"finished,omitempty"`
-}
-
-// errorBody is the wire form of every non-2xx response.
-type errorBody struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	// PredictedWaitMS, on predicted-late overload rejections, is the
-	// model-predicted start delay that sank the deadline.
-	PredictedWaitMS int64 `json:"predicted_wait_ms,omitempty"`
-}
-
-func statusOf(j *sched.Job) jobStatus {
-	st := jobStatus{
+func statusOf(j *sched.Job) api.JobStatus {
+	st := api.JobStatus{
 		ID:    j.ID(),
 		State: j.State().String(),
 		N:     j.N(),
@@ -263,25 +192,10 @@ func statusOf(j *sched.Job) jobStatus {
 		st.Shed = errors.Is(err, sched.ErrShed)
 	}
 	if j.State() == sched.Done {
-		st.ResultURL = "/v1/jobs/" + j.ID() + "/result"
+		st.ResultURL = api.ResultURL(j.ID())
 	}
-	enq, sta, fin := j.Times()
-	if !enq.IsZero() {
-		st.Enqueued = enq.UTC().Format(time.RFC3339Nano)
-	}
-	if !sta.IsZero() {
-		st.Started = sta.UTC().Format(time.RFC3339Nano)
-	}
-	if !fin.IsZero() {
-		st.Finished = fin.UTC().Format(time.RFC3339Nano)
-	}
+	st.SetTimes(j.Times())
 	return st
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeSchedError maps the scheduler's typed errors to HTTP statuses:
@@ -300,34 +214,24 @@ func writeSchedError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
+		api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorBody{
 			Error:           err.Error(),
 			Code:            "overloaded-" + oe.Reason,
 			RetryAfterMS:    oe.RetryAfter.Milliseconds(),
 			PredictedWaitMS: oe.PredictedWait.Milliseconds(),
 		})
 	case errors.Is(err, sched.ErrTooLarge):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-			Error: err.Error(), Code: "too-large",
-		})
+		api.WriteError(w, http.StatusRequestEntityTooLarge, "too-large", err.Error())
 	case errors.Is(err, sched.ErrDeadlineExpired):
 		// Retrying an already-expired deadline can never succeed; this is
 		// a client error, not backpressure.
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: err.Error(), Code: "deadline-expired",
-		})
+		api.WriteError(w, http.StatusBadRequest, "deadline-expired", err.Error())
 	case errors.Is(err, sched.ErrBadSpec):
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: err.Error(), Code: "bad-request",
-		})
+		api.WriteError(w, http.StatusBadRequest, "bad-request", err.Error())
 	case errors.Is(err, sched.ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
-			Error: err.Error(), Code: "closed",
-		})
+		api.WriteError(w, http.StatusServiceUnavailable, "closed", err.Error())
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{
-			Error: err.Error(), Code: "internal",
-		})
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
@@ -350,38 +254,6 @@ func classifySubmitErr(err error, deadlineMS int64) error {
 	return err
 }
 
-func parseAlgorithm(name string) (mlmsort.Algorithm, error) {
-	switch name {
-	case "", "MLM-sort":
-		return mlmsort.MLMSort, nil
-	case "MLM-hybrid":
-		return mlmsort.MLMHybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want MLM-sort or MLM-hybrid)", name)
-	}
-}
-
-// isWireContentType matches a Content-Type header against the binary
-// key-stream media type, ignoring parameters (charset etc.).
-func isWireContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(ct), wire.ContentType)
-}
-
-// acceptsWire reports whether the request's Accept list names the
-// binary key stream. Anything else — absent header, */*, JSON — keeps
-// the JSON default, so only clients that ask for frames get frames.
-func acceptsWire(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if isWireContentType(part) {
-			return true
-		}
-	}
-	return false
-}
-
 // wireKindOf maps a job's key type to its wire stream kind.
 func wireKindOf(k sched.KeyType) wire.Kind {
 	switch k {
@@ -402,115 +274,6 @@ func keyTypeOf(k wire.Kind) sched.KeyType {
 		return sched.KeyRecord
 	}
 	return sched.KeyInt64
-}
-
-// parseKeyType validates the request's key_type. Typed keys (f64, rec)
-// exist only on the binary wire path: a JSON array of integers cannot
-// carry float bits or key/payload pairing without inventing a second
-// in-band encoding, so a JSON submit naming a typed key is a client
-// error, not something to coerce.
-func parseKeyType(name string, binary bool) (sched.KeyType, error) {
-	switch name {
-	case "", "i64":
-		return sched.KeyInt64, nil
-	case "f64", "rec":
-		if !binary {
-			return 0, fmt.Errorf("key_type %q requires a binary submit (Content-Type %s; kind=%s)", name, wire.ContentType, name)
-		}
-		if name == "f64" {
-			return sched.KeyFloat64, nil
-		}
-		return sched.KeyRecord, nil
-	}
-	return 0, fmt.Errorf("unknown key_type %q", name)
-}
-
-// decodeBinarySubmit decodes an application/x-mlm-keys submit body into
-// a pooled key buffer. The stream header carries the exact element
-// count, so the buffer is sized once — bounds-checked against
-// MaxBodyBytes — before the first payload byte lands, and on the
-// zero-copy path the socket bytes are read directly into []int64
-// memory. With no JSON envelope, the envelope options ride query
-// parameters (priority, deadline_ms, algorithm, megachunk_len, wait);
-// an X-Deadline-Ms header doubles as deadline_ms when the query omits
-// it. Reports ok=false after writing the error response; on success the
-// caller owns req.Keys (and must return it to the pool if the job is
-// never handed to the scheduler).
-func (s *Server) decodeBinarySubmit(w http.ResponseWriter, r *http.Request, body io.Reader) (req sortRequest, ok bool) {
-	bad := func(msg string) (sortRequest, bool) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: msg, Code: "bad-request"})
-		return req, false
-	}
-	q := r.URL.Query()
-	if v := q.Get("priority"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad priority: " + v)
-		}
-		req.Priority = p
-	}
-	if v := q.Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return bad("bad deadline_ms: " + v)
-		}
-		req.DeadlineMS = ms
-	}
-	if v := q.Get("megachunk_len"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad megachunk_len: " + v)
-		}
-		req.MegachunkLen = n
-	}
-	req.Algorithm = q.Get("algorithm")
-	req.Wait = q.Get("wait") == "1" || strings.EqualFold(q.Get("wait"), "true")
-	if req.DeadlineMS == 0 {
-		if ms, err := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); err == nil && ms > 0 {
-			req.DeadlineMS = ms
-		}
-	}
-	kind, ok := wire.KindFromContentType(r.Header.Get("Content-Type"))
-	if !ok {
-		return bad("unknown key kind in Content-Type " + r.Header.Get("Content-Type"))
-	}
-	fr, err := wire.NewReaderAnyKind(body)
-	if err != nil {
-		return bad("bad binary body: " + err.Error())
-	}
-	if fr.Kind() != kind {
-		// The stream magic is authoritative; a mismatched Content-Type
-		// means a proxy rewrote headers or the client lied — either way
-		// the bytes cannot be interpreted as declared.
-		return bad(fmt.Sprintf("stream kind %v does not match Content-Type kind %v", fr.Kind(), kind))
-	}
-	req.KeyType = kind.String()
-	total := fr.Total()
-	if total <= 0 {
-		return bad("keys must be non-empty")
-	}
-	if total > s.cfg.MaxBodyBytes/8 {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-			Error: fmt.Sprintf("declared %d keys exceeds body limit", total), Code: "too-large",
-		})
-		return req, false
-	}
-	keys := s.cfg.KeyPool.Get(int(total))
-	if keys == nil {
-		keys = make([]int64, total)
-	}
-	if err := fr.ReadInto(keys); err != nil {
-		s.cfg.KeyPool.Put(keys)
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorBody{Error: "bad binary body: " + err.Error(), Code: "bad-request"})
-		return req, false
-	}
-	req.Keys = keys
-	return req, true
 }
 
 // acquireGate takes a decode slot for a submit. A request carrying a
@@ -597,59 +360,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req sortRequest
-	pooled := false // req.Keys came from the key pool; return it on any pre-handoff failure
-	binary := isWireContentType(r.Header.Get("Content-Type"))
-	if binary {
-		var ok bool
-		req, ok = s.decodeBinarySubmit(w, r, body)
-		if !ok {
-			return
-		}
-		pooled = true
-	} else {
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&req); err != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error(), Code: "bad-request"})
-			return
-		}
-		// One JSON value is the whole body: trailing non-whitespace (a
-		// second object, smuggled garbage) is a malformed request, not
-		// something to silently ignore.
-		if _, err := dec.Token(); err != io.EOF {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error: "trailing data after JSON body", Code: "bad-request",
-			})
-			return
-		}
-	}
-	recycle := func() {
-		if pooled {
-			pooled = false
-			s.cfg.KeyPool.Put(req.Keys)
-		}
-	}
-	if len(req.Keys) == 0 {
-		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "keys must be non-empty", Code: "bad-request"})
-		return
-	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-request"})
-		return
-	}
-	keyType, err := parseKeyType(req.KeyType, binary)
-	if err != nil {
-		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-request"})
+	req, ok := api.ParseSubmit(w, r, s.cfg.MaxBodyBytes, s.cfg.KeyPool)
+	if !ok {
 		return
 	}
 	tr.EventDetail("decoded", strconv.Itoa(len(req.Keys))+" keys")
@@ -659,9 +371,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	releaseGate()
 	spec := sched.JobSpec{
 		Data:         req.Keys,
-		KeyType:      keyType,
+		KeyType:      keyTypeOf(req.Kind),
 		Priority:     req.Priority,
-		Algorithm:    alg,
+		Algorithm:    req.Alg,
 		MegachunkLen: req.MegachunkLen,
 		Tenant:       r.Header.Get("X-Tenant"),
 		Trace:        tr,
@@ -671,7 +383,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.sched.SubmitCtx(telemetry.WithTrace(r.Context(), tr), spec)
 	if err != nil {
-		recycle()
+		if req.Binary {
+			s.cfg.KeyPool.Put(req.Keys)
+		}
 		writeSchedError(w, classifySubmitErr(err, req.DeadlineMS))
 		return
 	}
@@ -685,156 +399,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Client went away; the job keeps running server-side.
 			return
 		}
-		writeJSON(w, http.StatusOK, statusOf(j))
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusAccepted, statusOf(j))
+	w.Header().Set("Location", api.JobURL(j.ID()))
+	api.WriteJSON(w, http.StatusAccepted, statusOf(j))
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*sched.Job, bool) {
 	j, ok := s.sched.Lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job", Code: "not-found"})
-		return nil, false
+		api.NotFound(w)
 	}
-	return j, true
+	return j, ok
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookup(w, r); ok {
-		writeJSON(w, http.StatusOK, statusOf(j))
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
+	if j, ok := s.lookup(w, r); ok {
+		j.Cancel()
+		api.WriteJSON(w, http.StatusOK, statusOf(j))
 	}
-	j.Cancel()
-	writeJSON(w, http.StatusOK, statusOf(j))
-}
-
-// resultEncoder renders sorted-key batches from Job.StreamResult onto
-// the response. Implementations write response headers lazily with the
-// first batch (a consume-once refusal must stay free to answer 410) and
-// seal the stream in finish — the JSON closing bracket, the wire
-// end-of-stream marker.
-type resultEncoder interface {
-	writeBatch(batch []int64) error
-	finish() error
-	// started reports whether any response bytes went out: past that
-	// point a failure can only be signaled by truncating the body.
-	started() bool
-}
-
-// resultHeaders sends the common result headers ahead of the first body
-// byte.
-func resultHeaders(w http.ResponseWriter, contentType string, n int, spilled bool) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Sort-Elements", strconv.Itoa(n))
-	if spilled {
-		w.Header().Set("X-Sort-Spilled", "true")
-	}
-}
-
-// jsonResultEncoder streams a JSON array in fixed-size element chunks,
-// flushing between chunks, so a multi-gigabyte result never
-// materializes as one response buffer.
-type jsonResultEncoder struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	chunk   int
-	n       int
-	spilled bool
-	buf     []byte
-	wrote   bool
-	first   bool
-}
-
-func (e *jsonResultEncoder) started() bool { return e.wrote }
-
-func (e *jsonResultEncoder) writeBatch(batch []int64) error {
-	if !e.wrote {
-		resultHeaders(e.w, "application/json", e.n, e.spilled)
-		if _, err := e.w.Write([]byte("[")); err != nil {
-			return err
-		}
-		e.wrote = true
-		e.first = true
-	}
-	for lo := 0; lo < len(batch); lo += e.chunk {
-		hi := lo + e.chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		e.buf = e.buf[:0]
-		for _, v := range batch[lo:hi] {
-			if !e.first {
-				e.buf = append(e.buf, ',')
-			}
-			e.first = false
-			e.buf = strconv.AppendInt(e.buf, v, 10)
-		}
-		if _, err := e.w.Write(e.buf); err != nil {
-			return err
-		}
-		if e.flusher != nil {
-			e.flusher.Flush()
-		}
-	}
-	return nil
-}
-
-func (e *jsonResultEncoder) finish() error {
-	if !e.wrote {
-		resultHeaders(e.w, "application/json", e.n, e.spilled)
-		if _, err := e.w.Write([]byte("[")); err != nil {
-			return err
-		}
-		e.wrote = true
-	}
-	_, err := e.w.Write([]byte("]\n"))
-	return err
-}
-
-// wireResultEncoder streams the binary frame format. Each merge batch
-// goes out as count-prefixed frames whose payload, on the zero-copy
-// path, is the batch's own memory — the result moves merge -> socket
-// with no per-element work and no whole-result buffer.
-type wireResultEncoder struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	fw      *wire.Writer
-	ct      string // Content-Type with the stream's kind parameter
-	n       int
-	spilled bool
-	wrote   bool
-}
-
-func (e *wireResultEncoder) started() bool { return e.wrote }
-
-func (e *wireResultEncoder) writeBatch(batch []int64) error {
-	if !e.wrote {
-		resultHeaders(e.w, e.ct, e.n, e.spilled)
-		e.wrote = true
-	}
-	if err := e.fw.Write(batch); err != nil {
-		return err
-	}
-	if e.flusher != nil {
-		e.flusher.Flush()
-	}
-	return nil
-}
-
-func (e *wireResultEncoder) finish() error {
-	if !e.wrote {
-		resultHeaders(e.w, e.ct, e.n, e.spilled)
-		e.wrote = true
-	}
-	return e.fw.Close()
 }
 
 // handleResult streams the sorted keys — as a chunked JSON array by
@@ -852,113 +442,29 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !j.State().Terminal() {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job still " + j.State().String(), Code: "not-ready"})
+		api.WriteError(w, http.StatusConflict, "not-ready", "job still "+j.State().String())
 		return
 	}
-	if !j.Spilled() {
-		if err := j.Err(); err != nil {
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "job-" + j.State().String()})
-			return
-		}
-	}
-	flusher, _ := w.(http.Flusher)
-	var enc resultEncoder
-	if acceptsWire(r) {
-		kind := wireKindOf(j.KeyType())
-		enc = &wireResultEncoder{
-			w: w, flusher: flusher, n: j.N(), spilled: j.Spilled(),
-			ct: wire.ContentTypeFor(kind),
-			fw: wire.NewWriterKind(w, kind, j.N(), s.cfg.WireFrameElems),
-		}
-	} else if kt := j.KeyType(); kt != sched.KeyInt64 {
-		// Same asymmetry as submit: float bits and key/payload pairs have
-		// no JSON representation here, so a typed result is wire-only.
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: fmt.Sprintf("job has %s keys; download with Accept: %s", kt, wire.ContentTypeFor(wireKindOf(kt))),
-			Code:  "bad-request",
-		})
+	if err := j.Err(); err != nil && !j.Spilled() {
+		api.WriteError(w, http.StatusConflict, "job-"+j.State().String(), err.Error())
 		return
-	} else {
-		enc = &jsonResultEncoder{
-			w: w, flusher: flusher, chunk: s.cfg.ResultChunkElems,
-			n: j.N(), spilled: j.Spilled(),
-		}
 	}
-	var werr error
-	_, err := j.StreamResult(r.Context(), func(batch []int64) error {
-		if e := enc.writeBatch(batch); e != nil {
-			werr = e
-			return e
-		}
-		return nil
+	err := api.WriteResult(w, r, api.Result{
+		N: j.N(), Kind: wireKindOf(j.KeyType()), Spilled: j.Spilled(), Stream: j.StreamResult,
 	})
 	switch {
 	case err == nil:
-		_ = enc.finish()
-	case werr != nil || r.Context().Err() != nil:
-		// The client went away mid-stream; the response is unfinishable
-		// and the stream already released the job's resources.
 	case errors.Is(err, sched.ErrResultConsumed):
-		writeJSON(w, http.StatusGone, errorBody{Error: err.Error(), Code: "result-consumed"})
-	case enc.started():
-		// Failure after bytes hit the wire: the truncated body (no closing
-		// bracket, no end-of-stream marker) is the only signal left.
+		api.WriteError(w, http.StatusGone, "result-consumed", err.Error())
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "spill-merge"})
+		api.WriteError(w, http.StatusInternalServerError, "spill-merge", err.Error())
 	}
-}
-
-// healthBody is the /healthz payload.
-type healthBody struct {
-	Status      string `json:"status"`
-	Draining    bool   `json:"draining"`
-	Queued      int    `json:"queued"`
-	Running     int    `json:"running"`
-	LeasedBytes int64  `json:"leased_bytes"`
-	BudgetBytes int64  `json:"budget_bytes"`
-	// Disk-tier ledger state; zero when the spill class is disabled.
-	DiskLeasedBytes int64 `json:"disk_leased_bytes,omitempty"`
-	DiskBudgetBytes int64 `json:"disk_budget_bytes,omitempty"`
-	// Brownout is the scheduler's overload degradation state: the level
-	// name ("normal", "shed-spill", "shrink-batch", "critical-only"),
-	// its numeric value, and the smoothed queue-delay signal driving it.
-	// The endpoint stays 200 while browned out — the service is degraded
-	// on purpose, not unhealthy, and load balancers must keep routing.
-	Brownout         string  `json:"brownout"`
-	BrownoutLevel    int     `json:"brownout_level"`
-	QueueDelayEWMAMS float64 `json:"queue_delay_ewma_ms,omitempty"`
-	// Capacity is the compact routing block a cluster coordinator polls:
-	// everything a bandwidth-aware router needs to weight this node, in
-	// one cheap GET instead of a /metrics scrape.
-	Capacity capacityBody `json:"capacity"`
-}
-
-// capacityBody summarizes this node's headroom for an upstream router.
-// The EWMA rates are the scheduler's blended Eq. 1-5 parameters (seed
-// constants folded with autotuner measurements), per thread, so the
-// poller can re-solve the model with this node's thread budget and
-// derive a comparable predicted service rate per node.
-type capacityBody struct {
-	// HeadroomBytes is the unleased remainder of the MCDRAM staging
-	// budget — how much working set a new job could lease right now.
-	HeadroomBytes int64 `json:"headroom_bytes"`
-	QueueDepth    int   `json:"queue_depth"`
-	BrownoutLevel int   `json:"brownout_level"`
-	// EWMACopyBps/EWMACompBps are the per-thread copy and compute rates
-	// (bytes/sec) the admission model currently runs on.
-	EWMACopyBps float64 `json:"ewma_copy_bps"`
-	EWMACompBps float64 `json:"ewma_comp_bps"`
-	// Threads is the node's fair-shared thread budget.
-	Threads int `json:"threads"`
-	// PredictedStartMS is the model-predicted start delay a job admitted
-	// now would see — the same figure PreAdmit sheds against.
-	PredictedStartMS float64 `json:"predicted_start_ms"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	snap := s.sched.Snapshot()
 	rates := s.sched.Rates()
-	body := healthBody{
+	body := api.NodeHealth{
 		Status:           "ok",
 		Draining:         s.draining.Load() || snap.Draining,
 		Queued:           snap.Queued,
@@ -970,7 +476,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Brownout:         snap.Brownout.String(),
 		BrownoutLevel:    int(snap.Brownout),
 		QueueDelayEWMAMS: float64(snap.QueueDelayEWMA.Nanoseconds()) / 1e6,
-		Capacity: capacityBody{
+		Capacity: api.Capacity{
 			HeadroomBytes:    int64(snap.BudgetBytes) - int64(snap.LeasedBytes),
 			QueueDepth:       snap.Queued,
 			BrownoutLevel:    int(snap.Brownout),
@@ -985,7 +491,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	api.WriteJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

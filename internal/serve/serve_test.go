@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/exec"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/telemetry"
@@ -102,16 +103,16 @@ func (ts *testServer) get(t *testing.T, path string) (*http.Response, []byte) {
 	return resp, out
 }
 
-func decodeStatus(t *testing.T, raw []byte) jobStatus {
+func decodeStatus(t *testing.T, raw []byte) api.JobStatus {
 	t.Helper()
-	var st jobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("decode job status %q: %v", raw, err)
 	}
 	return st
 }
 
-func waitState(t *testing.T, ts *testServer, id, want string) jobStatus {
+func waitState(t *testing.T, ts *testServer, id, want string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -126,14 +127,14 @@ func waitState(t *testing.T, ts *testServer, id, want string) jobStatus {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached state %q", id, want)
-	return jobStatus{}
+	return api.JobStatus{}
 }
 
 func TestSubmitPollDownloadRoundtrip(t *testing.T) {
 	ts := newTestServer(t, nil)
 	keys := workload.Generate(workload.Random, 50000, 1)
 
-	resp, raw := ts.post(t, sortRequest{Keys: keys})
+	resp, raw := ts.post(t, api.SortRequest{Keys: keys})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -172,7 +173,7 @@ func TestSubmitPollDownloadRoundtrip(t *testing.T) {
 func TestSubmitWaitLongPoll(t *testing.T) {
 	ts := newTestServer(t, nil)
 	keys := workload.Generate(workload.Random, 4000, 2)
-	resp, raw := ts.post(t, sortRequest{Keys: keys, Wait: true})
+	resp, raw := ts.post(t, api.SortRequest{Keys: keys, Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("wait submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -192,7 +193,7 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	defer g.open()
 
 	// First job occupies the only worker (held at Compute by the gate).
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 3)})
+	resp, raw := ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 3)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -200,20 +201,20 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	waitState(t, ts, st.ID, "running")
 
 	// Second fills the queue.
-	resp, raw = ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 4)})
+	resp, raw = ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 4)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: HTTP %d: %s", resp.StatusCode, raw)
 	}
 
 	// Third must be rejected with typed overload mapped to 429.
-	resp, raw = ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 5)})
+	resp, raw = ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 5)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: HTTP %d, want 429: %s", resp.StatusCode, raw)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 missing Retry-After header")
 	}
-	var eb errorBody
+	var eb api.ErrorBody
 	if err := json.Unmarshal(raw, &eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -227,14 +228,14 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 
 func TestTooLargeReturns413(t *testing.T) {
 	ts := newTestServer(t, nil)
-	resp, raw := ts.post(t, sortRequest{
+	resp, raw := ts.post(t, api.SortRequest{
 		Keys:         workload.Generate(workload.Random, 100000, 6),
 		MegachunkLen: int(testBudget), // lease can never fit the budget
 	})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("HTTP %d, want 413: %s", resp.StatusCode, raw)
 	}
-	var eb errorBody
+	var eb api.ErrorBody
 	if err := json.Unmarshal(raw, &eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -246,12 +247,12 @@ func TestTooLargeReturns413(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t, nil)
 
-	resp, _ := ts.post(t, sortRequest{})
+	resp, _ := ts.post(t, api.SortRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty keys: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	resp, _ = ts.post(t, sortRequest{Keys: []int64{3, 1, 2}, Algorithm: "bogosort"})
+	resp, _ = ts.post(t, api.SortRequest{Keys: []int64{3, 1, 2}, Algorithm: "bogosort"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad algorithm: HTTP %d, want 400", resp.StatusCode)
 	}
@@ -279,7 +280,7 @@ func TestResultNotReady409(t *testing.T) {
 	ts := newTestServer(t, func(c *sched.Config) { c.Wrap = g.wrap })
 	defer g.open()
 
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 7)})
+	resp, raw := ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 7)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -288,7 +289,7 @@ func TestResultNotReady409(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("HTTP %d, want 409: %s", resp.StatusCode, raw)
 	}
-	var eb errorBody
+	var eb api.ErrorBody
 	if err := json.Unmarshal(raw, &eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -306,14 +307,14 @@ func TestCancelViaDELETE(t *testing.T) {
 	defer g.open()
 
 	// Block the worker, then cancel a queued job.
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 8)})
+	resp, raw := ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 8)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: HTTP %d: %s", resp.StatusCode, raw)
 	}
 	blocker := decodeStatus(t, raw)
 	waitState(t, ts, blocker.ID, "running")
 
-	resp, raw = ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 3000, 9)})
+	resp, raw = ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 3000, 9)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("victim: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -357,7 +358,7 @@ func TestHealthzCapacityBlock(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d: %s", resp.StatusCode, raw)
 	}
-	var hb healthBody
+	var hb api.NodeHealth
 	if err := json.Unmarshal(raw, &hb); err != nil {
 		t.Fatalf("decode healthz: %v", err)
 	}
@@ -376,7 +377,7 @@ func TestHealthzCapacityBlock(t *testing.T) {
 	}
 
 	// With a job held in Running its lease must dent the headroom.
-	resp, raw = ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
+	resp, raw = ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("held job: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -403,7 +404,7 @@ func TestHealthzFlipsOnDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d: %s", resp.StatusCode, raw)
 	}
-	var hb healthBody
+	var hb api.NodeHealth
 	if err := json.Unmarshal(raw, &hb); err != nil {
 		t.Fatalf("decode healthz: %v", err)
 	}
@@ -427,7 +428,7 @@ func TestHealthzFlipsOnDrain(t *testing.T) {
 		t.Fatalf("healthz body after drain: %+v", hb)
 	}
 	// Admissions are refused while draining.
-	resp, _ = ts.post(t, sortRequest{Keys: []int64{3, 1, 2}})
+	resp, _ = ts.post(t, api.SortRequest{Keys: []int64{3, 1, 2}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submit while draining: HTTP %d, want 429", resp.StatusCode)
 	}
@@ -435,7 +436,7 @@ func TestHealthzFlipsOnDrain(t *testing.T) {
 
 func TestMetricsExposesSchedAndServeFamilies(t *testing.T) {
 	ts := newTestServer(t, nil)
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 2000, 10), Wait: true})
+	resp, raw := ts.post(t, api.SortRequest{Keys: workload.Generate(workload.Random, 2000, 10), Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -463,22 +464,23 @@ func TestMetricsExposesSchedAndServeFamilies(t *testing.T) {
 }
 
 func TestResultStreamingChunks(t *testing.T) {
-	// A tiny chunk size exercises the multi-chunk streaming path.
+	// A result larger than three 8192-element chunks exercises the
+	// multi-chunk streaming path.
 	reg := telemetry.NewRegistry()
 	sc, err := sched.New(sched.Config{MCDRAMBudget: testBudget, TotalThreads: 8, Registry: reg})
 	if err != nil {
 		t.Fatalf("sched.New: %v", err)
 	}
 	defer sc.Close()
-	srv, err := New(Config{Scheduler: sc, Registry: reg, ResultChunkElems: 7})
+	srv, err := New(Config{Scheduler: sc, Registry: reg})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	keys := workload.Generate(workload.Random, 1000, 11)
-	raw, _ := json.Marshal(sortRequest{Keys: keys, Wait: true})
+	keys := workload.Generate(workload.Random, 3*8192+1000, 11)
+	raw, _ := json.Marshal(api.SortRequest{Keys: keys, Wait: true})
 	resp, err := http.Post(hs.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("POST: %v", err)

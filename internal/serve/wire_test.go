@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"knlmlm/internal/api"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/wire"
@@ -114,14 +115,14 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	keys := workload.Generate(workload.Random, 5000, 7)
 	want := sorted(keys)
 
-	submit := func(t *testing.T, binary bool) jobStatus {
+	submit := func(t *testing.T, binary bool) api.JobStatus {
 		t.Helper()
 		var resp *http.Response
 		var raw []byte
 		if binary {
 			resp, raw = ts.postWire(t, keys, "?wait=1")
 		} else {
-			resp, raw = ts.post(t, sortRequest{Keys: keys, Wait: true})
+			resp, raw = ts.post(t, api.SortRequest{Keys: keys, Wait: true})
 		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit(binary=%v): HTTP %d: %s", binary, resp.StatusCode, raw)
@@ -263,6 +264,14 @@ func TestWireSubmitErrors(t *testing.T) {
 		// bound before any buffer is sized, not by reading the (absent) body.
 		hdr := []byte{'M', 'L', 'K', '1', 0, 0, 0, 0, 0, 1, 0, 0}
 		if resp, raw := postRaw(hdr, ""); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
+		}
+	})
+	t.Run("negative total", func(t *testing.T) {
+		// A header declaring 2^63 keys reads as a negative int64 total; it
+		// must be refused as malformed, not reach a buffer allocation.
+		hdr := []byte{'M', 'L', 'K', '1', 0, 0, 0, 0, 0, 0, 0, 0x80}
+		if resp, raw := postRaw(hdr, ""); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
 		}
 	})

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ContentType is the MIME type of the frame stream, used for HTTP
@@ -85,7 +86,7 @@ var (
 	// ErrTruncated: the stream ended before its declared content.
 	ErrTruncated = errors.New("wire: truncated stream")
 	// ErrFrameOverrun: a frame's count overruns the declared total or
-	// MaxFrameElems.
+	// MaxFrameElems, or the declared total exceeds math.MaxInt64.
 	ErrFrameOverrun = errors.New("wire: frame overruns declared total")
 	// ErrTrailingData: bytes follow the end-of-stream marker.
 	ErrTrailingData = errors.New("wire: trailing data after end of stream")
@@ -113,8 +114,11 @@ func EncodedLen(n, frameElems int) int {
 // The encoded bytes are identical either way.
 func ZeroCopy() bool { return zeroCopy }
 
-// Writer encodes a key sequence as one frame stream. Batches passed to
-// Write are split into frames of at most frameElems elements; Close
+// Writer encodes a key sequence as one frame stream. Frames are cut at
+// fixed offsets — each holds frameElems elements but the last — so the
+// stream's bytes depend only on the sequence, never on how it was split
+// across Write calls: a frame may straddle two calls, its prefix sent
+// with its first element and its payload written as it arrives. Close
 // writes the end-of-stream marker and verifies the declared total was
 // delivered. Not safe for concurrent use.
 type Writer struct {
@@ -123,6 +127,7 @@ type Writer struct {
 	kind       Kind
 	total      uint64
 	written    uint64
+	frameLeft  int // elements the open frame's prefix announced but not yet written
 	headerSent bool
 	closed     bool
 	// hdr backs header/frame-prefix writes; scratch backs the fallback
@@ -188,38 +193,36 @@ func (fw *Writer) Write(keys []int64) error {
 		return fmt.Errorf("wire: write overruns declared total %d", fw.total)
 	}
 	for len(keys) > 0 {
-		n := len(keys)
-		if n > fw.frameElems {
-			n = fw.frameElems
+		if fw.frameLeft == 0 {
+			fw.frameLeft = int(min(uint64(fw.frameElems), fw.total-fw.written))
+			binary.LittleEndian.PutUint32(fw.hdr[:], uint32(fw.frameLeft))
+			if _, err := fw.w.Write(fw.hdr[:frameHeaderLen]); err != nil {
+				return err
+			}
 		}
-		if err := fw.writeFrame(keys[:n]); err != nil {
+		n := min(len(keys), fw.frameLeft)
+		if err := fw.writePayload(keys[:n]); err != nil {
 			return err
 		}
+		fw.frameLeft -= n
 		fw.written += uint64(n)
 		keys = keys[n:]
 	}
 	return nil
 }
 
-// writeFrame emits one count-prefixed frame. On the zero-copy path the
-// payload write is the []int64 memory itself; the fallback encodes
-// through a reused scratch buffer in one write (prefix included).
-func (fw *Writer) writeFrame(keys []int64) error {
+// writePayload emits frame payload. On the zero-copy path the write is
+// the []int64 memory itself; the fallback encodes through a reused
+// scratch buffer of at most one frame.
+func (fw *Writer) writePayload(keys []int64) error {
 	if zeroCopy {
-		binary.LittleEndian.PutUint32(fw.hdr[:], uint32(len(keys)))
-		if _, err := fw.w.Write(fw.hdr[:frameHeaderLen]); err != nil {
-			return err
-		}
 		_, err := fw.w.Write(int64Bytes(keys))
 		return err
 	}
-	need := frameHeaderLen + len(keys)*8
-	if cap(fw.scratch) < need {
-		fw.scratch = make([]byte, frameHeaderLen, frameHeaderLen+fw.frameElems*8)
+	if fw.scratch == nil {
+		fw.scratch = make([]byte, 0, fw.frameElems*8)
 	}
-	fw.scratch = fw.scratch[:frameHeaderLen]
-	binary.LittleEndian.PutUint32(fw.scratch, uint32(len(keys)))
-	fw.scratch = AppendInt64s(fw.scratch, keys)
+	fw.scratch = AppendInt64s(fw.scratch[:0], keys)
 	_, err := fw.w.Write(fw.scratch)
 	return err
 }
@@ -348,6 +351,11 @@ func NewReaderAnyKind(r io.Reader) (*Reader, error) {
 	}
 	fr.kind = kind
 	fr.total = binary.LittleEndian.Uint64(fr.hdr[4:])
+	if fr.total > math.MaxInt64 {
+		// Total reports an int64; a count of 2^63 or more would read as
+		// negative and slip past callers' upper-bound checks.
+		return nil, fmt.Errorf("%w: declared total %d", ErrFrameOverrun, fr.total)
+	}
 	if kind == KindRecord && fr.total%2 != 0 {
 		return nil, fmt.Errorf("%w: total %d", ErrOddRecordStream, fr.total)
 	}

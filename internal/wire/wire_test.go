@@ -78,9 +78,9 @@ func TestWriterMatchesReference(t *testing.T) {
 }
 
 func TestWriterUnevenBatchesRoundTrip(t *testing.T) {
-	// Frames follow Write-call batch boundaries (streaming writers never
-	// buffer a partial frame), so uneven batches produce different framing
-	// — but the decoded sequence must be unchanged.
+	// Frames are cut at fixed offsets whatever the Write-call batch
+	// boundaries, so uneven batches must produce the reference bytes
+	// exactly — and decode to the unchanged sequence.
 	for _, frameElems := range []int{0, 1, 7, 4096} {
 		for vi, keys := range testVectors() {
 			var buf bytes.Buffer
@@ -97,6 +97,9 @@ func TestWriterUnevenBatchesRoundTrip(t *testing.T) {
 			}
 			if err := fw.Close(); err != nil {
 				t.Fatalf("vector %d frame %d: Close: %v", vi, frameElems, err)
+			}
+			if !bytes.Equal(buf.Bytes(), refEncode(keys, frameElems)) {
+				t.Fatalf("vector %d frame %d: uneven batches changed the stream bytes", vi, frameElems)
 			}
 			got, err := Decode(bytes.NewReader(buf.Bytes()), 0, nil)
 			if err != nil {
@@ -245,6 +248,18 @@ func TestDecodeErrors(t *testing.T) {
 		hdr = append(hdr, 'M', 'L', 'K', '1')
 		hdr = binary.LittleEndian.AppendUint64(hdr, math.MaxUint64/8)
 		if _, err := Decode(bytes.NewReader(hdr), 1<<20, nil); !errors.Is(err, ErrFrameOverrun) {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("total of 2^63 refused at the header", func(t *testing.T) {
+		// Read as int64 this total is negative and would pass an
+		// upper-bound check; the header parse must refuse it, even with
+		// no limit to check against.
+		hdr := binary.LittleEndian.AppendUint64([]byte("MLK1"), 1<<63)
+		if _, err := NewReaderAnyKind(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameOverrun) {
+			t.Fatalf("err = %v", err)
+		}
+		if _, err := Decode(bytes.NewReader(hdr), 0, nil); !errors.Is(err, ErrFrameOverrun) {
 			t.Fatalf("err = %v", err)
 		}
 	})
